@@ -444,6 +444,10 @@ bool Server::send_stats(Conn& conn, std::uint64_t seq) {
       {"l2_corrupt_dropped", s.persist.corrupt_dropped},
       {"l2_compactions", s.persist.compactions},
       {"l2_reopens", s.persist.reopens},
+      {"source_memo_hits", s.source_memo.hits},
+      {"source_memo_misses", s.source_memo.misses},
+      {"source_memo_entries", s.source_memo.entries},
+      {"source_memo_bytes", s.source_memo.bytes},
   };
   return queue_frame(conn,
                      proto::encode_stats_response_frame(seq, counters));

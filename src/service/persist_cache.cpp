@@ -544,7 +544,7 @@ void PersistCache::append(const CacheKeyRef& key,
     }
     if (log_end_ + scratch_.size() > cfg_.max_log_bytes) {
       CompactReport report;
-      if (!compact_locked(&report) ||
+      if (!compact_locked(&report, scratch_.size()) ||
           log_end_ + scratch_.size() > cfg_.max_log_bytes) {
         ++stats_.append_skips;
         return;
@@ -565,7 +565,8 @@ void PersistCache::append(const CacheKeyRef& key,
   }
 }
 
-bool PersistCache::compact_locked(CompactReport* report) {
+bool PersistCache::compact_locked(CompactReport* report,
+                                  std::uint64_t incoming) {
   // Caller holds the file lock. Copy every index-reachable record
   // verbatim (checksums stay valid) into fresh files, retire the old
   // index so other processes follow, and rename the new generation in.
@@ -620,11 +621,14 @@ bool PersistCache::compact_locked(CompactReport* report) {
     need += kRecHeaderBytes + len;
   }
   std::uint64_t lru_dropped = 0;
-  if (need > cfg_.max_log_bytes) {
-    // Even the live set busts the cap: evict coldest-first (stamp 0 — a
-    // pre-LRU record — is the coldest possible; offset breaks ties toward
-    // the oldest append). Target 7/8 of the cap, not the cap itself, so
-    // the next few appends don't each re-trigger a full rewrite.
+  if (need + incoming > cfg_.max_log_bytes) {
+    // The live set plus the record waiting to be appended busts the cap:
+    // evict coldest-first (stamp 0 — a pre-LRU record — is the coldest
+    // possible; offset breaks ties toward the oldest append). Target 7/8
+    // of the cap, not the cap itself, so roughly an eighth of the cap is
+    // appended before the next full rewrite. (Checking the live set alone
+    // would leave a fully live log within one record of the cap: every
+    // append would then rewrite the whole log and still not fit.)
     std::stable_sort(keep.begin(), keep.end(),
                      [](const LiveRec& a, const LiveRec& b) {
                        return a.stamp != b.stamp ? a.stamp < b.stamp
@@ -633,7 +637,7 @@ bool PersistCache::compact_locked(CompactReport* report) {
     const std::uint64_t target =
         cfg_.max_log_bytes - cfg_.max_log_bytes / 8;
     std::size_t drop = 0;
-    while (drop < keep.size() && need > target) {
+    while (drop < keep.size() && need + incoming > target) {
       need -= kRecHeaderBytes + keep[drop].len;
       ++drop;
     }

@@ -177,7 +177,9 @@ class PersistCache {
   void publish_slot_locked(std::uint64_t hash, std::uint64_t offset);
   void refresh_log_end_locked();
   [[nodiscard]] bool index_retired() const;
-  bool compact_locked(CompactReport* report);
+  /// `incoming`: bytes of a record about to be appended (0 for the admin
+  /// compaction); eviction makes room for it too.
+  bool compact_locked(CompactReport* report, std::uint64_t incoming = 0);
 
   [[nodiscard]] std::string log_path() const { return cfg_.dir + "/l2.log"; }
   [[nodiscard]] std::string idx_path() const { return cfg_.dir + "/l2.idx"; }

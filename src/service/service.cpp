@@ -463,14 +463,25 @@ void Service::process(Job job, std::size_t worker) {
   // parked waiters, so plug-in backends throwing non-standard exceptions
   // and allocation failures are caught and turned into structured results.
   const cograph::CanonicalForm* form = nullptr;
+  // Set when the source memo knew these exact bytes: the memo's form then
+  // stands in for the instance's own parse + canonicalize (or signature
+  // decode) everywhere below. The instance itself is left alone, so the
+  // miss path still resolves it — to the same vertex ids, since the form
+  // is a pure function of the bytes.
+  std::shared_ptr<const cograph::CanonicalForm> memo_form;
+  const auto raw = job.req.instance.raw_bytes();
   std::size_t n = 0;
   try {
     if (opts_.use_cache) {
+      if (raw.has_value()) {
+        memo_form = source_memo_.find(raw->first, raw->second);
+      }
       // The form's permutation size IS the vertex count, so the cache-hit
       // path never calls resolve() — a signature-sourced instance serves
       // warm hits without ever materializing its cotree (the engines
       // resolve lazily on the miss path).
-      form = &job.req.instance.canonical();
+      form = memo_form != nullptr ? memo_form.get()
+                                  : &job.req.instance.canonical();
       n = form->from_canonical.size();
     } else {
       n = job.req.instance.resolve().vertex_count();
@@ -534,6 +545,11 @@ void Service::process(Job job, std::size_t worker) {
       // One fused copy+remap pass, outside the shard lock.
       res = service::remapped_from_canonical(*hit, *form);
       res.label = label;
+      // Admission: only bytes whose form just hit L1 are memoized, so
+      // never-seen traffic stores nothing.
+      if (raw.has_value() && memo_form == nullptr) {
+        source_memo_.admit(raw->first, raw->second, *form);
+      }
     } catch (...) {
       res = failure(label, opts.backend, "failed to materialize cache hit");
     }
@@ -762,6 +778,7 @@ Service::Stats Service::stats() const {
   s.persist_enabled = persist_ != nullptr;
   s.persist_promotions = promotions_.load(std::memory_order_relaxed);
   if (persist_ != nullptr) s.persist = persist_->stats();
+  s.source_memo = source_memo_.stats();
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.watchdog_cancels = watchdog_cancels_.load(std::memory_order_relaxed);
   if (opts_.watchdog_ms > 0) {
@@ -787,9 +804,11 @@ Service::CompactReport Service::compact_caches() {
   // written through to L2 (when configured), so dropped entries are one
   // disk probe away; with no L2 this is just a cache flush. clear() also
   // resets the L1 counters — the post-compact Stats verb reports the new
-  // epoch only.
+  // epoch only. The source memo goes with it: its entries were admitted
+  // on L1 hits of that epoch, and a dropped one costs one re-parse.
   report.l1_dropped = cache_.size();
   cache_.clear();
+  source_memo_.clear();
   if (persist_ != nullptr) {
     report.l2_enabled = true;
     report.l2 = persist_->compact();

@@ -4,8 +4,12 @@
 // already holds, Service is the traffic-serving shape: requests arrive one
 // at a time from many threads, `submit()` hands back a std::future
 // immediately, and a fixed pool of solver workers drains a bounded MPMC
-// queue. Four mechanisms turn repeated/small traffic into cheap traffic:
+// queue. Five mechanisms turn repeated/small traffic into cheap traffic:
 //
+//  * Source-bytes memo — a text or signature request whose exact bytes
+//    already produced an L1 hit skips parse, canonicalize and signature
+//    decode: the form those bytes produced is reused
+//    (service/source_memo.hpp).
 //  * Canonical memo cache — every request is canonicalized
 //    (cograph/canonical.hpp) and looked up in a sharded ResultCache by its
 //    binary structural signature; a hit replays the stored canonical-space
@@ -57,6 +61,7 @@
 #include "copath_solver.hpp"
 #include "service/persist_cache.hpp"
 #include "service/result_cache.hpp"
+#include "service/source_memo.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/thread_budget.hpp"
 
@@ -188,6 +193,9 @@ class Service {
     /// L2 hits promoted into L1 (single submits + batch groups).
     std::uint64_t persist_promotions = 0;
     service::PersistCache::Stats persist{};
+    /// Source-bytes memo counters: one probe per cache-enabled text or
+    /// signature single request (batches and tree/graph sources bypass it).
+    service::SourceMemo::Stats source_memo{};
   };
 
   Service() : Service(Options{}) {}
@@ -271,10 +279,10 @@ class Service {
   [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] std::size_t workers() const { return threads_.size(); }
 
-  /// The admin compaction: clears + stat-resets the RAM tier (safe — every
-  /// ok result was written through to L2 when one is configured) and
-  /// compacts the persistent tier. Callable any time, including while
-  /// workers are solving.
+  /// The admin compaction: clears + stat-resets the RAM tier — L1 and the
+  /// source-bytes memo in front of it (safe — every ok result was written
+  /// through to L2 when one is configured) — and compacts the persistent
+  /// tier. Callable any time, including while workers are solving.
   struct CompactReport {
     /// L1 entries dropped by the clear (its counters reset too).
     std::uint64_t l1_dropped = 0;
@@ -371,6 +379,9 @@ class Service {
   std::size_t worker_count_ = 0;
   Solver solver_;
   service::ResultCache cache_;
+  /// (source kind, exact bytes) -> canonical form, probed before L1;
+  /// entries are admitted only on an L1 hit.
+  service::SourceMemo source_memo_;
   /// The L2 tier; null when Options::persist.dir is empty.
   std::unique_ptr<service::PersistCache> persist_;
   util::MpmcQueue<Job> queue_;

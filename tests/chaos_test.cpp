@@ -444,7 +444,11 @@ TEST(ResilienceOverload, BatchRetryMatchesTheSingleSolveConvenience) {
       }
       return false;
     };
+    // Accepted (in_flight) AND popped by the worker (queue empty again):
+    // in_flight alone also holds while the job still sits in the queue,
+    // and the next request would then be refused instead of queued.
     ASSERT_TRUE(wait_for("in_flight", 1));
+    ASSERT_TRUE(wait_for("queue_depth", 0));
     (void)cli.send_solve_text(testing::random_cotree(65, 4701).format(),
                               slow_opts);
     cli.flush();
@@ -508,7 +512,8 @@ TEST(ResilienceOverload, ParkingDisabledRefusesOverloadedAtQueueFull) {
       }
       return false;
     };
-    ASSERT_TRUE(wait_for("in_flight", 1));  // worker holds the sleepy job
+    ASSERT_TRUE(wait_for("in_flight", 1));  // accepted ...
+    ASSERT_TRUE(wait_for("queue_depth", 0));  // ... and held by the worker
     const std::uint64_t queued_seq = cli.send_solve_text(
         testing::random_cotree(65, 8).format(), slow_opts);
     cli.flush();

@@ -416,7 +416,11 @@ TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
 /// arena buffer). The Service aggregates its workers' arena counters per
 /// request, so the property is observable from outside; a single worker
 /// makes the accounting deterministic, and a warm sentinel request fences
-/// the final aggregation before the counters are read.
+/// the final aggregation before the counters are read. Each round pads the
+/// texts with its own count of trailing spaces: the same trees, but bytes
+/// the source-bytes memo has not seen, so every cache hit really parses
+/// and canonicalizes (repeated identical bytes skip the front end
+/// entirely — SourceMemo.RepeatedBytesSkipTheArenaFrontEnd).
 void expect_zero_fresh_allocs_when_warm(bool use_cache) {
   Service::Options sopts;
   sopts.workers = 1;
@@ -427,11 +431,14 @@ void expect_zero_fresh_allocs_when_warm(bool use_cache) {
     texts.push_back(
         testing::random_cotree(16 + i * 37, 90210 + i).format());
   }
+  std::size_t pad = 0;
   const auto round = [&] {
     std::vector<std::future<SolveResult>> futs;
     futs.reserve(texts.size());
+    ++pad;
     for (const auto& text : texts) {
-      futs.push_back(svc.submit(SolveRequest{Instance::text(text), {}, {}}));
+      futs.push_back(svc.submit(
+          SolveRequest{Instance::text(text + std::string(pad, ' ')), {}, {}}));
     }
     for (auto& f : futs) ASSERT_TRUE(f.get().ok);
   };

@@ -342,6 +342,57 @@ TEST(PersistCache, CompactionHonorsTheCapDroppingColdestFirst) {
   EXPECT_GE(evicted, 1u);
 }
 
+TEST(PersistCache, AppendsPastTheCapKeepLandingWithoutACompactionStorm) {
+  // Write several caps' worth of distinct records through a small L2. A
+  // fully live log near its cap must still take new keys: the compaction
+  // an over-cap append triggers evicts room for that record too (down to
+  // 7/8 of the cap), so every append lands, every new key hits, and a
+  // full rewrite happens about once per eighth of the cap written — not
+  // once per append.
+  TempDir dir;
+  service::PersistCache::Config cfg = small_cfg(dir.path);
+  cfg.max_log_bytes = 32 << 10;
+  cfg.index_slots = 1024;
+  service::PersistCache cache(cfg);
+  const SolveOptions opts;
+  constexpr unsigned kAppends = 400;
+  std::uint64_t written = 0;
+  std::uint64_t max_record = 0;
+  for (unsigned i = 0; i < kAppends; ++i) {
+    const Cotree t = testing::random_cotree(30 + i % 23, 7100 + i);
+    const SolveResult canon = canonical_result(t, opts);
+    const cograph::CanonicalForm form = canonical_form(t);
+    const auto key = service::make_cache_key(form, opts);
+    const auto before = cache.stats();
+    cache.append(key, canon);
+    const auto after = cache.stats();
+    ASSERT_EQ(after.append_skips, 0u) << "append " << i << " skipped";
+    if (after.appends == before.appends) continue;  // isomorphic repeat
+    if (after.compactions == before.compactions) {
+      const std::uint64_t rec = after.log_bytes - before.log_bytes;
+      written += rec;
+      max_record = std::max(max_record, rec);
+    } else {
+      written += max_record;  // its size is hidden by the rewrite
+    }
+    EXPECT_LE(after.log_bytes, cfg.max_log_bytes);
+    const auto hit = cache.lookup(key);
+    ASSERT_NE(hit, nullptr) << "new key " << i << " did not land";
+    expect_result_exact(*hit, canon, "over-cap append");
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.append_skips, 0u);
+  EXPECT_GE(s.appends, kAppends - 10);
+  ASSERT_GT(written, 3 * cfg.max_log_bytes) << "never went past the cap";
+  EXPECT_GE(s.compactions, 1u);
+  // Each compaction leaves at least an eighth of the cap minus one record
+  // free, so the appends between two compactions fill at least that much.
+  const std::uint64_t per_compaction = cfg.max_log_bytes / 8 - max_record;
+  EXPECT_LE(s.compactions, written / per_compaction + 2)
+      << "compaction storm: " << s.compactions << " rewrites for "
+      << s.appends << " appends";
+}
+
 TEST(PersistCache, LookupRestampsSurviveTheRecordChecksum) {
   // The re-stamp is a 4-byte in-place write OUTSIDE the checksummed
   // payload: a touched record must still verify and decode exactly.

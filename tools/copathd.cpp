@@ -8,15 +8,18 @@
 // One process, one event-loop thread, N solver workers. SIGTERM/SIGINT
 // drain gracefully: in-flight requests finish, new ones get structured
 // Draining refusals, and the process exits 0 once the last connection
-// closes. See src/net/server.hpp for the serving model and DESIGN.md §9
-// for the wire protocol.
+// closes. Numeric flags are range-checked (net/daemon_args.hpp): a bad
+// value prints the reason and exits 2. See src/net/server.hpp for the
+// serving model and DESIGN.md §9 for the wire protocol.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
+#include <span>
 #include <string>
+#include <utility>
 
+#include "net/daemon_args.hpp"
 #include "net/server.hpp"
 
 namespace {
@@ -41,66 +44,16 @@ void on_signal(int) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  copath::net::Server::Options opts;
-  opts.port = 7431;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--host") {
-      opts.host = value();
-    } else if (arg == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::atoi(value()));
-    } else if (arg == "--workers") {
-      opts.service.workers = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--queue") {
-      opts.service.queue_capacity =
-          static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--window") {
-      opts.inflight_window = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--max-batch") {
-      // Operational cap on BatchSolve items per frame (protocol ceiling
-      // still applies above it).
-      opts.max_batch_items = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--no-cache") {
-      opts.service.use_cache = false;
-    } else if (arg == "--cache-dir") {
-      // Persistent L2 under the RAM cache: survives restarts, shared by
-      // any number of copathd processes pointed at the same directory.
-      opts.service.persist.dir = value();
-    } else if (arg == "--max-parked") {
-      // Overload bound: queue-refused requests parked per connection
-      // before the server answers Overloaded (0 = never park).
-      opts.max_parked = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--max-parked-bytes") {
-      // Aggregate decoded bytes parked across all connections.
-      opts.max_parked_bytes = static_cast<std::size_t>(std::atol(value()));
-    } else if (arg == "--idle-timeout") {
-      // Close connections with no protocol progress and nothing in flight
-      // after this many ms (0 = never; catches slowloris peers).
-      opts.idle_timeout_ms =
-          static_cast<std::uint32_t>(std::atol(value()));
-    } else if (arg == "--request-timeout") {
-      // Default deadline_ms for solve frames that carry none: still-queued
-      // requests past it are shed with DeadlineExceeded (0 = none).
-      opts.default_deadline_ms =
-          static_cast<std::uint32_t>(std::atol(value()));
-    } else if (arg == "--watchdog-ms") {
-      // Worker watchdog: a solve with no progress heartbeat for this long
-      // gets its cancel token tripped (cooperatively — threads are never
-      // killed) and answers Cancelled/DeadlineExceeded. 0 = off.
-      opts.service.watchdog_ms =
-          static_cast<std::uint32_t>(std::atol(value()));
-    } else {
-      usage(argv[0]);
-    }
+  copath::net::DaemonArgs args = copath::net::parse_daemon_args(
+      std::span<const char* const>(argv + 1, argv + argc));
+  if (!args.ok) {
+    std::fprintf(stderr, "copathd: %s\n", args.error.c_str());
+    usage(argv[0]);
   }
 
   try {
-    const std::string host = opts.host;
-    copath::net::Server server(std::move(opts));
+    const std::string host = args.options.host;
+    copath::net::Server server(std::move(args.options));
     g_server = &server;
     std::signal(SIGTERM, on_signal);
     std::signal(SIGINT, on_signal);
