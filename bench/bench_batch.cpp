@@ -6,7 +6,7 @@
 // fused path wins three ways at once — one queue slot and one future for
 // the whole batch instead of n of each, one ThreadBudgeter lease instead
 // of n acquire/release rounds, and within-batch dedup that collapses
-// every duplicate and permuted twin onto one packed solve — so the edge
+// every duplicate and permuted twin onto one solve — so the edge
 // is largest exactly where per-request overhead dominates: small
 // instances, small-to-medium batches.
 //
@@ -46,7 +46,7 @@ namespace proto = net::protocol;
 bench::JsonReport* g_json = nullptr;
 
 /// Instance size for every batch member: comfortably express-eligible, so
-/// the packed sweep (not the routing boundary) is what gets measured.
+/// the sequential route (not the routing boundary) is what gets measured.
 constexpr std::size_t kVertices = 24;
 
 std::vector<std::string> make_texts(std::size_t unique, unsigned seed) {

@@ -137,14 +137,12 @@ double legacy_generic_cold_ms(const std::string& text,
 /// PR 5 cold request, same anatomy through the new front end: iterative
 /// SoA parse inside Instance resolution, arena-scratch canonicalization
 /// (binary signature emitted in the same walk), borrowed key + memcmp
-/// probe, then whatever a Service worker runs — the express-lane inline
-/// solve below the Adaptive floor, generic dispatch above it — and the
-/// canonical-space store.
-double new_cold_ms(const std::string& text, std::size_t n,
-                   const SolveOptions& opts, const Solver& solver,
-                   service::ResultCache& cache, int reps) {
-  const bool express = service::express_eligible(n, opts);
-  exec::Arena& arena = exec::Arena::for_this_thread();
+/// probe, then what a Service worker runs — Solver::solve through the
+/// backend registry (the sequential route binarizes once for cover and
+/// verdicts below the Adaptive floor) — and the canonical-space store.
+double new_cold_ms(const std::string& text, const SolveOptions& opts,
+                   const Solver& solver, service::ResultCache& cache,
+                   int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     util::WallTimer timer;
@@ -152,10 +150,7 @@ double new_cold_ms(const std::string& text, std::size_t n,
     const auto& form = inst.canonical();
     const service::CacheKeyRef key = service::make_cache_key(form, opts);
     (void)cache.lookup(key);  // the miss probe
-    const SolveResult res =
-        express ? service::solve_express(inst, {}, opts, arena)
-                : solver.solve(inst);
-    bench::require_ok(res);
+    const SolveResult res = bench::require_ok(solver.solve(inst, {}, opts));
     cache.insert(key, std::make_shared<const SolveResult>(
                           service::to_canonical_space(res, form)));
     best = std::min(best, timer.millis());
@@ -277,7 +272,7 @@ void frontend_sweep(bool smoke, GateStats& gate) {
               : legacy_generic_cold_ms(text, opts, legacy_solver,
                                        legacy_store, reps);
       const double cold_new =
-          new_cold_ms(text, n, opts, legacy_solver, cache, reps);
+          new_cold_ms(text, opts, legacy_solver, cache, reps);
 
       const double warm_legacy =
           legacy_warm_ms(text, opts, legacy_store, reps);
@@ -315,7 +310,7 @@ void frontend_sweep(bool smoke, GateStats& gate) {
         if (cold_bad || warm_bad) {
           const double c2 =
               legacy_cold_ms(text, opts, legacy_store, 3 * reps) /
-              new_cold_ms(text, n, opts, legacy_solver, cache, 3 * reps);
+              new_cold_ms(text, opts, legacy_solver, cache, 3 * reps);
           const double w2 =
               legacy_warm_ms(text, opts, legacy_store, 3 * reps) /
               new_warm_ms(text, opts, cache, 3 * reps);
@@ -339,7 +334,7 @@ void service_sweep() {
       "Warmup: 256 throwaway instances (same sizes, different seeds) that "
       "size the worker arenas — its fresh_allocs are the one-time growth "
       "cost, reported on its own row. Cold: 256 distinct small instances "
-      "submitted through copath::Service (express lane + arena scratch "
+      "submitted through copath::Service (express solves + arena scratch "
       "engaged); its fresh_allocs are now the steady-state cold-request "
       "number, not warm-up growth in disguise. Warm: the same 256 requests "
       "again — every one a cache hit. Request latency includes queueing "

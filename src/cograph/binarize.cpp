@@ -26,10 +26,21 @@ void BinarizedCotree::validate() const {
                    "binarized cotree must have 2L-1 nodes");
 }
 
+namespace {
+
+/// Mutable output surface of the binarizer: every span pre-sized by the
+/// caller (2L-1 nodes, L vertices) and pre-filled (parent/left/right = -1,
+/// vertex = kNull, is_join = 0).
+struct BinSpans {
+  std::span<std::int32_t> parent, left, right;
+  std::span<std::uint8_t> is_join;
+  std::span<VertexId> vertex;
+  std::span<par::NodeId> leaf_of_vertex;
+};
+
 /// The single binarization implementation (worklists from `arena`);
 /// returns the root id. Node numbering is deterministic in `t` alone, so
-/// vector-backed, arena-backed, and slab-packed callers produce identical
-/// trees.
+/// vector-backed and arena-backed callers produce identical trees.
 ///
 /// Id invariant the downstream sweeps rely on: ids are assigned in
 /// creation order and every comb node is created after both its children,
@@ -118,6 +129,8 @@ void make_leftist_into(std::span<std::int32_t> left,
     }
   }
 }
+
+}  // namespace
 
 BinarizedCotree binarize(const Cotree& t) {
   const std::size_t leaves = t.vertex_count();

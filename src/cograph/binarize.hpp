@@ -67,8 +67,9 @@ struct BinView {
                  bc.vertex,    bc.leaf_of_vertex, bc.tree.root};
 }
 
-/// Arena-backed binarized cotree (the express-lane form): identical layout
-/// to BinarizedCotree, storage recycled through `arena`.
+/// Arena-backed binarized cotree (the request-path form the sequential
+/// backends use): identical layout to BinarizedCotree, storage recycled
+/// through `arena`.
 struct ScratchBinarized {
   exec::ScratchVec<std::int32_t> parent, left, right;
   exec::ScratchVec<std::uint8_t> is_join;
@@ -87,39 +88,13 @@ struct ScratchBinarized {
   }
 };
 
-/// Mutable output surface of the binarizer: every span pre-sized by the
-/// caller (2L-1 nodes, L vertices) and pre-filled like binarize_scratch
-/// fills its arrays (parent/left/right = -1, vertex = kNull, is_join = 0).
-/// The packed batch path (service/batch.cpp) points these at slices of one
-/// exec::Slab so a whole batch of binarized trees shares one allocation.
-struct BinSpans {
-  std::span<std::int32_t> parent, left, right;
-  std::span<std::uint8_t> is_join;
-  std::span<VertexId> vertex;
-  std::span<par::NodeId> leaf_of_vertex;
-};
-
-/// The single binarization implementation over caller-provided storage
-/// (worklists from `arena`); returns the root id (always 2L-2 — node ids
-/// are creation-ordered with children before parents). Both binarize() and
-/// binarize_scratch() are thin storage adapters over this, so all three
-/// shapes produce bit-identical node layouts.
-std::int32_t binarize_into(const Cotree& t, BinSpans out, exec::Arena& arena);
-
-/// The leftist transform over caller-provided child spans: fills
-/// `leaf_count` (pre-sized to left.size()) and swaps children in place so
-/// L(left) >= L(right) everywhere. The span-level seam under
-/// make_leftist / make_leftist_scratch.
-void make_leftist_into(std::span<std::int32_t> left,
-                       std::span<std::int32_t> right,
-                       std::span<std::int64_t> leaf_count);
-
 /// Host binarization (iterative, no recursion depth limits; worklists come
 /// from the calling thread's arena).
 BinarizedCotree binarize(const Cotree& t);
 
 /// Same algorithm, arena storage end to end (output arrays AND worklists
-/// from `arena`). Node layout is identical to binarize().
+/// from `arena`). Node layout is identical to binarize(): both are thin
+/// storage adapters over one implementation in binarize.cpp.
 void binarize_scratch(const Cotree& t, exec::Arena& arena,
                       ScratchBinarized& out);
 

@@ -16,9 +16,7 @@
 //                                                       cache (binary
 //                                                       signature keys),
 //                                                       duplicate
-//                                                       coalescing, a
-//                                                       small-instance
-//                                                       express lane, and
+//                                                       coalescing, and
 //                                                       bounded
 //                                                       backpressure
 //   cograph::canonical_form / CanonicalForm             cotree identity
@@ -36,7 +34,7 @@
 // Compatibility layer (free functions predating the Solver facade; they
 // delegate to the same engines and remain supported):
 //   core::min_path_cover_sequential                     Lemma 2.3, O(n)
-//   core::min_path_cover_parallel / _pram               Theorem 5.3, EREW
+//   core::min_path_cover_pram                           Theorem 5.3, EREW
 //                                                       O(log n) / O(n) work
 //   core::path_cover_size, path_counts_pram             Lemma 2.4
 //   core::has_hamiltonian_path / _cycle, constructors   the §1 corollary
@@ -65,7 +63,6 @@
 #include "exec/native.hpp"
 #include "pram/array.hpp"
 #include "pram/machine.hpp"
-#include "service/express.hpp"
 #include "service/result_cache.hpp"
 #include "service/service.hpp"
 #include "util/mpmc_queue.hpp"
@@ -90,7 +87,6 @@ using core::has_hamiltonian_cycle;
 using core::has_hamiltonian_path;
 using core::hamiltonian_cycle;
 using core::hamiltonian_path;
-using core::min_path_cover_parallel;
 using core::min_path_cover_pram;
 using core::min_path_cover_sequential;
 using core::PathCover;

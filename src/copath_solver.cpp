@@ -8,9 +8,7 @@
 #include "core/adaptive.hpp"
 #include "core/count.hpp"
 #include "core/hamiltonian.hpp"
-#include "exec/arena.hpp"
 #include "service/batch.hpp"
-#include "service/express.hpp"
 #include "util/check.hpp"
 #include "util/thread_budget.hpp"
 #include "util/timer.hpp"
@@ -114,6 +112,15 @@ const cograph::CanonicalForm& Instance::canonical() const {
 
 // ------------------------------------------------------------------ Solver
 
+bool express_eligible(std::size_t n, const SolveOptions& opts) {
+  if (opts.backend == Backend::Sequential) return true;
+  if (opts.backend != Backend::Adaptive) return false;
+  const core::CostModel& model = opts.cost_model != nullptr
+                                     ? *opts.cost_model
+                                     : core::CostModel::calibrated();
+  return n < model.min_native_n;
+}
+
 SolveResult Solver::solve_with(const Instance& inst,
                                const std::string& label,
                                const SolveOptions& opts) const {
@@ -133,6 +140,7 @@ SolveResult Solver::solve_with(const Instance& inst,
     cfg.policy = opts.policy;
     cfg.pipeline = opts.pipeline;
     cfg.collect_trace = opts.collect_trace;
+    cfg.compute_verdicts = opts.compute_verdicts;
     cfg.cost_model = opts.cost_model;
     cfg.cancel = opts.cancel;
 
@@ -149,11 +157,15 @@ SolveResult Solver::solve_with(const Instance& inst,
     res.trace_valid = out.traced;
 
     if (opts.compute_verdicts) {
-      res.optimal_size = core::path_cover_size(t);
+      // The sequential routes hand back verdicts from their own binarized
+      // tree; every other engine gets one binarization and one p-sweep.
+      const core::CountVerdicts v =
+          out.verdicts ? *out.verdicts : core::count_verdicts(t);
+      res.optimal_size = v.cover_size;
       res.minimum =
           static_cast<std::int64_t>(res.cover.size()) == res.optimal_size;
-      res.hamiltonian_path = res.optimal_size == 1;
-      res.hamiltonian_cycle = core::has_hamiltonian_cycle(t);
+      res.hamiltonian_path = v.hamiltonian_path;
+      res.hamiltonian_cycle = v.hamiltonian_cycle;
       if (opts.want_hamiltonian_cycle && res.hamiltonian_cycle) {
         res.cycle = core::hamiltonian_cycle(t);
       }
@@ -207,9 +219,9 @@ std::vector<SolveResult> Solver::solve_batch(
   });
 
   // Route: express-eligible instances (below the Adaptive floor, or
-  // explicitly Sequential) go through the fused dedup+pack core on the
-  // calling thread — per-request fan-out overhead beats the actual solve
-  // down there, so one packed sweep wins over pool dispatch. Everything
+  // explicitly Sequential) go through the fused dedup core on the calling
+  // thread — per-request fan-out overhead beats the actual solve down
+  // there, so solving them inline wins over pool dispatch. Everything
   // else (big instances, PRAM/native backends, unresolvable instances)
   // keeps the budgeted pool path.
   std::vector<std::size_t> small, big;
@@ -223,7 +235,7 @@ std::vector<SolveResult> Solver::solve_batch(
       resolved = true;
     } catch (...) {
     }
-    if (resolved && service::express_eligible(n, opts)) {
+    if (resolved && express_eligible(n, opts)) {
       small.push_back(i);
     } else {
       big.push_back(i);
@@ -232,7 +244,7 @@ std::vector<SolveResult> Solver::solve_batch(
 
   if (!small.empty()) {
     // IdenticalTree dedup only (no cache): exactly-identical resolved
-    // trees share one sweep and identity-copied results — bitwise-equal
+    // trees share one solve and identity-copied results — bitwise-equal
     // to solving each directly. Permuted twins are NOT grouped here; their
     // direct solves may produce different, equally-minimum covers
     // (service/batch.hpp).
@@ -242,12 +254,11 @@ std::vector<SolveResult> Solver::solve_batch(
     service::BatchConfig cfg;
     cfg.dedup = service::BatchDedup::IdenticalTree;
     cfg.cache = nullptr;
-    const service::BatchFallback fb =
+    const service::GroupSolve solve_group =
         [this](const SolveRequest& r, const SolveOptions& o) {
           return solve_with(r.instance, r.label, o);
         };
-    auto sres = service::solve_batch_fused(sreqs, defaults_, cfg, fb,
-                                           exec::Arena::for_this_thread());
+    auto sres = service::solve_batch_fused(sreqs, defaults_, cfg, solve_group);
     for (std::size_t k = 0; k < small.size(); ++k) {
       results[small[k]] = std::move(sres[k]);
     }
@@ -350,23 +361,3 @@ CountResult Solver::count(const SolveRequest& req) const {
 }
 
 }  // namespace copath
-
-namespace copath::core {
-
-// Compatibility wrapper: the historical convenience entry point now
-// delegates to the Solver facade (Backend::Parallel).
-PathCover min_path_cover_parallel(const cograph::Cotree& t,
-                                  std::size_t workers,
-                                  pram::Stats* stats_out) {
-  SolveOptions opts;
-  opts.backend = Backend::Parallel;
-  opts.workers = workers;
-  opts.compute_verdicts = false;  // cost parity with the historical entry
-  const Solver solver(opts);
-  SolveResult res = solver.solve(SolveRequest{Instance::view(t), {}, {}});
-  COPATH_CHECK_MSG(res.ok, "min_path_cover_parallel: " << res.error);
-  if (stats_out != nullptr) *stats_out = res.stats;
-  return std::move(res.cover);
-}
-
-}  // namespace copath::core

@@ -159,8 +159,10 @@ struct SolveOptions {
   bool validate = false;
   /// Construct the Hamiltonian cycle order when one exists.
   bool want_hamiltonian_cycle = false;
-  /// Compute optimal_size / minimum / Hamiltonicity verdicts (two extra
-  /// O(n) host sweeps). Hot paths that only need the cover turn this off;
+  /// Compute optimal_size / minimum / Hamiltonicity verdicts (one extra
+  /// O(n) host p-sweep; the sequential routes run it on the binarized tree
+  /// their cover sweep built, other engines pay one binarization more).
+  /// Hot paths that only need the cover turn this off;
   /// SolveResult::optimal_size is then -1 and the verdict flags stay false
   /// (want_hamiltonian_cycle still works — the cycle attempt itself is the
   /// verdict).
@@ -177,6 +179,15 @@ struct SolveOptions {
   /// Excluded from cache keys (it never changes the computed answer).
   util::CancelToken* cancel = nullptr;
 };
+
+/// True when an n-vertex solve under `opts` is certain to run the
+/// sequential sweep: Backend::Sequential always, and Backend::Adaptive
+/// below its model's unconditional-sequential floor
+/// (`CostModel::min_native_n`). Such a solve needs no native-thread
+/// budget, so the Service skips its lease and the batch front-ends keep it
+/// on the calling thread. Above the floor Adaptive's route depends on the
+/// thread budget the caller grants.
+[[nodiscard]] bool express_eligible(std::size_t n, const SolveOptions& opts);
 
 struct SolveRequest {
   Instance instance;
@@ -235,8 +246,9 @@ struct SolveResult {
   /// Independent validation (when options.validate).
   core::ValidationReport validation{};
 
-  /// Wall time of the backend run alone (excludes instance resolution,
-  /// verdicts, and validation).
+  /// Wall time of the backend run alone (excludes instance resolution
+  /// and validation; includes the verdict sweep when the sequential route
+  /// evaluated it on its own tree).
   double wall_ms = 0.0;
 };
 

@@ -107,7 +107,7 @@ BackendOutput run_pram_pipeline(const cograph::Cotree& t,
 
 BackendOutput run_parallel(const cograph::Cotree& t,
                            const BackendConfig& cfg) {
-  // The historical min_path_cover_parallel contract: EREW, paper budget.
+  // The fixed Parallel contract: EREW, paper budget.
   // Worker count, trace flag, and pipeline knobs still pass through.
   return run_pram_pipeline(t, apply_backend_contract(Backend::Parallel, cfg));
 }
@@ -125,11 +125,23 @@ BackendOutput run_native(const cograph::Cotree& t,
   return out;
 }
 
+// The one sequential route (Backend::Sequential, and Adaptive's sequential
+// branch): binarize once on the thread arena, sweep (Lemma 2.3), and take
+// the Lemma 2.4 verdicts from the same leftist tree when asked — a warm
+// thread runs it without fresh heap scratch.
 BackendOutput run_sequential(const cograph::Cotree& t,
                              const BackendConfig& cfg) {
   checkpoint_before_solve(cfg);
+  exec::Arena& arena = exec::Arena::for_this_thread();
+  cograph::ScratchBinarized bc(arena);
+  cograph::binarize_scratch(t, arena, bc);
+  exec::ScratchVec<std::int64_t> leaf_count(arena);
+  cograph::make_leftist_scratch(bc, leaf_count);
   BackendOutput out;
-  out.cover = min_path_cover_sequential(t);
+  out.cover = min_path_cover_sequential(bc.view(), leaf_count.span(), arena);
+  if (cfg.compute_verdicts) {
+    out.verdicts = count_verdicts(bc.view(), leaf_count.span(), arena);
+  }
   return out;
 }
 
@@ -143,34 +155,34 @@ BackendOutput run_adaptive(const cograph::Cotree& t,
   static const std::size_t hw = util::ThreadPool::default_workers();
   const std::size_t workers = cfg.workers == 0 ? hw : cfg.workers;
   const Backend route = model.choose(n, internal, workers);
-  BackendOutput out;
-  if (route == Backend::Native) {
-    exec::Native::Config nc = native_config(cfg);
-    nc.grains = model.grains;  // the per-stage half of the dispatch
-    // Steady-state serving: recycle scratch across every solve this
-    // thread performs (Service workers, solve_batch pool workers).
-    exec::Arena& arena = exec::Arena::for_this_thread();
-    nc.arena = &arena;
-    try {
-      exec::Native ex(nc);
-      out.cover = min_path_cover_exec(
-          ex, t, cfg.pipeline, cfg.collect_trace ? &out.trace : nullptr);
-      out.stats = ex.stats();
-      out.traced = cfg.collect_trace;
-    } catch (...) {
-      // Cancellation (or any failure) unwinds through here with every
-      // executor array already destroyed — the buffers are back in the
-      // arena free lists. Trim exactly as on success so a cancelled solve
-      // never leaves a worker thread holding peak scratch.
-      arena.trim_over(model.arena_retain_bytes);
-      throw;
-    }
-    // Every array is dead here; cap what this thread keeps warm.
-    arena.trim_over(model.arena_retain_bytes);
-  } else {
-    checkpoint_before_solve(cfg);
-    out.cover = min_path_cover_sequential(t);
+  if (route != Backend::Native) {
+    BackendOutput out = run_sequential(t, cfg);
+    out.routed = route;
+    return out;
   }
+  BackendOutput out;
+  exec::Native::Config nc = native_config(cfg);
+  nc.grains = model.grains;  // the per-stage half of the dispatch
+  // Steady-state serving: recycle scratch across every solve this
+  // thread performs (Service workers, solve_batch pool workers).
+  exec::Arena& arena = exec::Arena::for_this_thread();
+  nc.arena = &arena;
+  try {
+    exec::Native ex(nc);
+    out.cover = min_path_cover_exec(
+        ex, t, cfg.pipeline, cfg.collect_trace ? &out.trace : nullptr);
+    out.stats = ex.stats();
+    out.traced = cfg.collect_trace;
+  } catch (...) {
+    // Cancellation (or any failure) unwinds through here with every
+    // executor array already destroyed — the buffers are back in the
+    // arena free lists. Trim exactly as on success so a cancelled solve
+    // never leaves a worker thread holding peak scratch.
+    arena.trim_over(model.arena_retain_bytes);
+    throw;
+  }
+  // Every array is dead here; cap what this thread keeps warm.
+  arena.trim_over(model.arena_retain_bytes);
   out.routed = route;
   return out;
 }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cograph/cotree.hpp"
+#include "core/count.hpp"
 #include "core/path_cover.hpp"
 #include "core/pipeline.hpp"
 #include "exec/native.hpp"
@@ -34,7 +35,7 @@ enum class Backend : std::uint8_t {
   /// Lemma 2.3 — the O(n) sequential sweep (host, no PRAM machine).
   Sequential,
   /// Theorem 5.3 on an EREW machine with the paper's P = n/log2(n) budget
-  /// (the former core::min_path_cover_parallel convenience path).
+  /// (a fixed preset of Pram; the cache bench's engine workload).
   Parallel,
   /// Theorem 5.3 on a fully configurable machine: policy, processor budget,
   /// rank engine, and trace collection are honored.
@@ -84,6 +85,11 @@ struct BackendConfig {
   PipelineOptions pipeline{};
   /// Collect a PipelineTrace where the engine supports one.
   bool collect_trace = false;
+  /// Evaluate the Lemma 2.4 verdicts where the engine can take them from
+  /// the binarized tree its own sweep built (the sequential routes). Set
+  /// from SolveOptions::compute_verdicts; engines that cannot leave
+  /// BackendOutput::verdicts empty and the Solver computes them.
+  bool compute_verdicts = false;
   /// Routing model for Backend::Adaptive; nullptr = the process-wide
   /// calibrated default (CostModel::calibrated()). Tests inject a model to
   /// force a route. Must outlive the solve.
@@ -108,6 +114,9 @@ struct BackendOutput {
   /// The engine that actually ran, when the backend dispatches (set by
   /// Backend::Adaptive); empty for backends that are their own engine.
   std::optional<Backend> routed;
+  /// Cover size and Hamiltonicity verdicts, when BackendConfig asked for
+  /// them and the engine evaluated them on its own binarized tree.
+  std::optional<CountVerdicts> verdicts;
 };
 
 using BackendFn =

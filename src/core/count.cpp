@@ -66,13 +66,17 @@ std::vector<std::int64_t> path_counts_pram(
   return path_counts_exec(m, bc, leaf_count);
 }
 
-std::int64_t path_cover_size(const cograph::Cotree& t) {
+CountVerdicts count_verdicts(const cograph::Cotree& t) {
   exec::Arena& arena = exec::Arena::for_this_thread();
   cograph::ScratchBinarized bc(arena);
   cograph::binarize_scratch(t, arena, bc);
   exec::ScratchVec<std::int64_t> leaf_count(arena);
   cograph::make_leftist_scratch(bc, leaf_count);
-  return count_verdicts(bc.view(), leaf_count.span(), arena).cover_size;
+  return count_verdicts(bc.view(), leaf_count.span(), arena);
+}
+
+std::int64_t path_cover_size(const cograph::Cotree& t) {
+  return count_verdicts(t).cover_size;
 }
 
 bool has_hamiltonian_path(const cograph::Cotree& t) {

@@ -79,9 +79,9 @@ std::vector<std::int64_t> path_counts_host(
 /// binarized view (scratch from `arena`): the minimum cover size, the
 /// Hamiltonian-path verdict (p(root) == 1) and the Hamiltonian-cycle
 /// verdict (n >= 3 and the root split join(V, W) has p(V) <= L(W) — the
-/// same test core/hamiltonian.cpp performs). The express lane uses this to
-/// compute every verdict from the binarized tree it already built, where
-/// the generic Solver path re-binarizes per verdict.
+/// same test core/hamiltonian.cpp performs). The sequential backends use
+/// this to compute every verdict from the binarized tree their sweep
+/// already built (core/backend.cpp).
 struct CountVerdicts {
   std::int64_t cover_size = 0;
   bool hamiltonian_path = false;
@@ -90,6 +90,11 @@ struct CountVerdicts {
 CountVerdicts count_verdicts(const cograph::BinView& bc,
                              std::span<const std::int64_t> leaf_count,
                              exec::Arena& arena);
+
+/// Same verdicts from a cotree: binarizes once on the calling thread's
+/// arena, then one p-sweep. The Solver's verdict tail for engines that do
+/// not hand back a tree of their own.
+CountVerdicts count_verdicts(const cograph::Cotree& t);
 
 /// Executor evaluation (Lemma 2.4) — tree contraction over the max-plus
 /// affine family on any executor: O(log n) steps, O(n) work, EREW on the

@@ -5,7 +5,6 @@
 #include "cograph/binarize.hpp"
 #include "core/count.hpp"
 #include "core/sequential.hpp"
-#include "exec/scratch.hpp"
 
 namespace copath::core {
 
@@ -36,16 +35,9 @@ RootSplit root_split(const cograph::BinarizedCotree& bc,
 }  // namespace
 
 bool has_hamiltonian_cycle(const cograph::Cotree& t) {
-  if (t.vertex_count() < 3) return false;
-  // Arena-backed: the verdict runs after every solve, so its binarized
-  // tree and p-sweep are recycled scratch, not fresh vectors.
-  exec::Arena& arena = exec::Arena::for_this_thread();
-  cograph::ScratchBinarized bc(arena);
-  cograph::binarize_scratch(t, arena, bc);
-  exec::ScratchVec<std::int64_t> leaf_count(arena);
-  cograph::make_leftist_scratch(bc, leaf_count);
-  return count_verdicts(bc.view(), leaf_count.span(), arena)
-      .hamiltonian_cycle;
+  // count_verdicts returns false below 3 vertices itself; the early exit
+  // only skips the binarization.
+  return t.vertex_count() >= 3 && count_verdicts(t).hamiltonian_cycle;
 }
 
 std::optional<std::vector<VertexId>> hamiltonian_path(

@@ -13,7 +13,4 @@ PathCover min_path_cover_pram(pram::Machine& m, const cograph::Cotree& t,
   return min_path_cover_exec(m, t, opt, trace);
 }
 
-// min_path_cover_parallel is defined in copath_solver.cpp as a thin
-// compatibility wrapper over the Solver facade (Backend::Parallel).
-
 }  // namespace copath::core

@@ -39,7 +39,8 @@ PathCover min_path_cover_sequential(
     const std::vector<std::int64_t>& leaf_count);
 
 /// The storage-agnostic core: sweep over any leftist binarized view with
-/// scratch from `arena` (the express-lane entry point).
+/// scratch from `arena` (the sequential backend's entry point, which
+/// shares the tree with the verdict sweep).
 PathCover min_path_cover_sequential(const cograph::BinView& bc,
                                     std::span<const std::int64_t> leaf_count,
                                     exec::Arena& arena);

@@ -5,15 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "cograph/binarize.hpp"
-#include "core/adaptive.hpp"
-#include "core/count.hpp"
-#include "core/hamiltonian.hpp"
-#include "core/sequential.hpp"
-#include "exec/pack.hpp"
-#include "service/express.hpp"
 #include "service/persist_cache.hpp"
-#include "util/timer.hpp"
 
 namespace copath::service {
 namespace {
@@ -26,14 +18,6 @@ SolveResult prep_failure(const std::string& label, Backend backend,
   res.label = label;
   res.backend = backend;
   res.error = std::move(error);
-  return res;
-}
-
-/// Failure shape of solve_express's catch: routed echoes the backend.
-SolveResult solve_failure(const std::string& label, Backend backend,
-                          std::string error) {
-  SolveResult res = prep_failure(label, backend, std::move(error));
-  res.routed = backend;
   return res;
 }
 
@@ -111,8 +95,8 @@ struct RefHash {
 
 std::vector<SolveResult> solve_batch_fused(
     std::span<const SolveRequest> reqs, const SolveOptions& default_opts,
-    const BatchConfig& cfg, const BatchFallback& fallback,
-    exec::Arena& arena, BatchOutcome* outcome) {
+    const BatchConfig& cfg, const GroupSolve& solve_group,
+    BatchOutcome* outcome) {
   std::vector<SolveResult> results(reqs.size());
   BatchOutcome local{};
   BatchOutcome& out = outcome != nullptr ? *outcome : local;
@@ -272,9 +256,7 @@ std::vector<SolveResult> solve_batch_fused(
     results[rep] = std::move(res);
   };
 
-  // ---- cache probe (once per group) + route ----------------------------
-  std::vector<std::size_t> packed;  // group indices headed for the slab
-  packed.reserve(groups.size());
+  // ---- cache probe (once per group) + solve ----------------------------
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const std::size_t rep = groups[g].members.front();
     const Prep& rp = preps[rep];
@@ -303,131 +285,15 @@ std::vector<SolveResult> solve_batch_fused(
                                       "failed to materialize cache hit");
           }
         }
-        groups[g].members.clear();  // fully answered
         continue;
       }
     }
-    if (cfg.use_express_pack && express_eligible(rp.n, rp.opts)) {
-      packed.push_back(g);
-    } else {
-      finish_group(groups[g], fallback(reqs[rep], rp.opts));
-    }
-  }
-
-  if (packed.empty()) return results;
-
-  // ---- pack: every survivor's arrays in ONE arena allocation -----------
-  // Sizes are exact up front (2n-1 binarized nodes, n leaves per
-  // instance), so the slab is carved once and sliced per instance.
-  std::vector<const cograph::Cotree*> trees(packed.size(), nullptr);
-  std::size_t total_nodes = 0, total_leaves = 0;
-  for (std::size_t k = 0; k < packed.size(); ++k) {
-    const Group& g = groups[packed[k]];
-    const std::size_t rep = g.members.front();
-    try {
-      // Canonical mode deferred resolution to here — the groups that
-      // actually solve; a decode/parse failure fails this group alone.
-      trees[k] = &reqs[rep].instance.resolve();
-      total_nodes += 2 * preps[rep].n - 1;
-      total_leaves += preps[rep].n;
-    } catch (const std::exception& e) {
-      finish_group(g, solve_failure(reqs[rep].label,
-                                    preps[rep].opts.backend, e.what()));
-    } catch (...) {
-      finish_group(g, solve_failure(reqs[rep].label, preps[rep].opts.backend,
-                                    "non-standard exception"));
-    }
-  }
-
-  exec::SlabLayout layout;
-  const auto sp_parent = layout.add<std::int32_t>(total_nodes);
-  const auto sp_left = layout.add<std::int32_t>(total_nodes);
-  const auto sp_right = layout.add<std::int32_t>(total_nodes);
-  const auto sp_leaf_count = layout.add<std::int64_t>(total_nodes);
-  const auto sp_vertex = layout.add<cograph::VertexId>(total_nodes);
-  const auto sp_lov = layout.add<par::NodeId>(total_leaves);
-  const auto sp_join = layout.add<std::uint8_t>(total_nodes);
-  exec::Slab slab(arena, layout);
-  const auto parent = slab.at(sp_parent);
-  const auto left = slab.at(sp_left);
-  const auto right = slab.at(sp_right);
-  const auto leaf_count = slab.at(sp_leaf_count);
-  const auto vertex = slab.at(sp_vertex);
-  const auto lov = slab.at(sp_lov);
-  const auto is_join = slab.at(sp_join);
-
-  // ---- sweep: back-to-back express solves over the slab slices ---------
-  std::size_t node_off = 0, leaf_off = 0;
-  for (std::size_t k = 0; k < packed.size(); ++k) {
-    if (trees[k] == nullptr) continue;  // resolution failed above
-    const Group& g = groups[packed[k]];
-    const std::size_t rep = g.members.front();
-    const Prep& rp = preps[rep];
-    const cograph::Cotree& t = *trees[k];
-    const std::size_t n = rp.n;
-    const std::size_t bn = 2 * n - 1;
-
-    SolveResult res;
-    res.label = reqs[rep].label;
-    res.backend = rp.opts.backend;
-    try {
-      // Operation-for-operation the solve_express body, with the
-      // ScratchBinarized arrays replaced by slab slices — same layout,
-      // same sweeps, bitwise-equal covers.
-      util::WallTimer timer;
-      const cograph::BinSpans spans{
-          parent.subspan(node_off, bn), left.subspan(node_off, bn),
-          right.subspan(node_off, bn),  is_join.subspan(node_off, bn),
-          vertex.subspan(node_off, bn), lov.subspan(leaf_off, n)};
-      for (std::size_t v = 0; v < bn; ++v) spans.parent[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.left[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.right[v] = -1;
-      for (std::size_t v = 0; v < bn; ++v) spans.is_join[v] = 0;
-      for (std::size_t v = 0; v < bn; ++v) spans.vertex[v] = cograph::kNull;
-      for (std::size_t v = 0; v < n; ++v) spans.leaf_of_vertex[v] = -1;
-      const std::int32_t root = cograph::binarize_into(t, spans, arena);
-      const auto lc = leaf_count.subspan(node_off, bn);
-      cograph::make_leftist_into(spans.left, spans.right, lc);
-      const cograph::BinView view{spans.left,   spans.right,
-                                  spans.is_join, spans.vertex,
-                                  spans.leaf_of_vertex, root};
-      res.cover = core::min_path_cover_sequential(view, lc, arena);
-      res.wall_ms = timer.millis();
-
-      res.routed = Backend::Sequential;
-      res.vertex_count = n;
-      if (rp.opts.compute_verdicts) {
-        const core::CountVerdicts v = core::count_verdicts(view, lc, arena);
-        res.optimal_size = v.cover_size;
-        res.minimum =
-            static_cast<std::int64_t>(res.cover.size()) == res.optimal_size;
-        res.hamiltonian_path = v.hamiltonian_path;
-        res.hamiltonian_cycle = v.hamiltonian_cycle;
-        if (rp.opts.want_hamiltonian_cycle && res.hamiltonian_cycle) {
-          res.cycle = core::hamiltonian_cycle(t);
-        }
-      } else {
-        res.optimal_size = -1;
-        if (rp.opts.want_hamiltonian_cycle) {
-          res.cycle = core::hamiltonian_cycle(t);
-          res.hamiltonian_cycle = res.cycle.has_value();
-        }
-      }
-      if (rp.opts.validate) {
-        res.validation =
-            core::validate_path_cover(t, res.cover, /*require_minimum=*/true);
-      }
-      res.ok = true;
-      ++out.packed_solves;
-    } catch (const std::exception& e) {
-      res = solve_failure(reqs[rep].label, rp.opts.backend, e.what());
-    } catch (...) {
-      res = solve_failure(reqs[rep].label, rp.opts.backend,
-                          "non-standard exception");
-    }
-    node_off += bn;
-    leaf_off += n;
-    finish_group(g, std::move(res));
+    // Canonical mode deferred resolution to here — the groups that
+    // actually solve; a decode/parse failure fails this group alone (the
+    // solve callback returns it structurally).
+    SolveResult res = solve_group(reqs[rep], rp.opts);
+    if (res.ok && express_eligible(rp.n, rp.opts)) ++out.packed_solves;
+    finish_group(groups[g], std::move(res));
   }
   return results;
 }

@@ -1,32 +1,27 @@
-// The fused batch core: dedup -> cache -> pack -> sweep -> scatter for a
-// whole span of requests at once.
+// The fused batch core: dedup -> cache -> solve -> scatter for a whole
+// span of requests at once.
 //
 // Serving traffic is dominated by small instances where per-request fixed
-// cost (queue hop, cache probe, future machinery, per-instance scratch)
-// beats the actual solve. This core amortizes all of it across a batch:
+// cost (queue hop, cache probe, future machinery, repeated parsing) beats
+// the actual solve. This core amortizes it across a batch:
 //
 //  1. DEDUP   — canonicalize every instance and group duplicates *within
 //               the batch*; each group is solved (or cache-probed) once
 //               and fanned back out through the dedup map.
 //  2. CACHE   — one ResultCache probe per unique group (not per request).
-//  3. PACK    — express-eligible survivors' SoA arrays (parent/left/right/
-//               is_join/vertex/leaf_of_vertex/leaf_count) are laid side by
-//               side in ONE exec::Arena allocation (exec::Slab) with
-//               per-instance offsets — one acquire for the whole batch.
-//  4. SWEEP   — the packed instances are binarized straight into their
-//               slices and swept back-to-back on the calling thread,
-//               mirroring service::solve_express operation for operation so
-//               covers stay bitwise-equal to per-instance solves.
-//  5. SCATTER — the group rep keeps its direct result; other members are
+//  3. SOLVE   — every unanswered group's rep goes through the caller's
+//               GroupSolve callback (Solver::solve in both callers), one
+//               group after another on the calling thread.
+//  4. SCATTER — the group rep keeps its direct result; other members are
 //               replayed through their own canonical permutation
 //               (BatchDedup::Canonical) or by identity copy
 //               (BatchDedup::IdenticalTree). Per-slot failure isolation: a
 //               bad instance fails alone, everything else still solves.
 //
 // Shared by Service::submit_batch (Canonical dedup + cache) and the
-// rerouted small-instance lane of Solver::solve_batch (IdenticalTree
-// dedup, no cache). See DESIGN.md §10 for the layout, the dedup-key
-// lifetime argument, and why the two dedup modes differ.
+// small-instance lane of Solver::solve_batch (IdenticalTree dedup, no
+// cache). See DESIGN.md §10 for the dedup-key lifetime argument and why
+// the two dedup modes differ.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +30,6 @@
 #include <vector>
 
 #include "copath_solver.hpp"
-#include "exec/arena.hpp"
 #include "service/result_cache.hpp"
 
 namespace copath::service {
@@ -67,7 +61,8 @@ struct BatchOutcome {
   std::uint64_t cache_hits = 0;
   /// Unique groups answered by the persistent tier (and promoted into L1).
   std::uint64_t l2_hits = 0;
-  /// Unique groups solved inside the packed slab sweep.
+  /// Unique groups solved that were express-eligible (the sequential
+  /// sweep, no native-thread budget; copath::express_eligible).
   std::uint64_t packed_solves = 0;
 };
 
@@ -81,26 +76,20 @@ struct BatchConfig {
   /// promoted into L1), written through on every fresh ok group solve.
   /// Requires `cache` (the L2 shares its canonical keys); nullptr = none.
   PersistCache* l2 = nullptr;
-  /// Pack express-eligible groups into the slab sweep. Ineligible groups
-  /// (above the Adaptive floor, non-sequential backends) — and every group
-  /// when this is off — go through `fallback`.
-  bool use_express_pack = true;
 };
 
-/// Generic per-group solve for work the packed sweep cannot take. Receives
-/// the group rep's request and its effective options; must not throw
-/// (structured ok == false results, like Solver::solve).
-using BatchFallback =
+/// Solves one group: receives the group rep's request and its effective
+/// options; must not throw (structured ok == false results, like
+/// Solver::solve).
+using GroupSolve =
     std::function<SolveResult(const SolveRequest&, const SolveOptions&)>;
 
 /// Runs the fused pipeline over `reqs`. Results are positionally aligned
 /// with the requests; per-request options default to `default_opts`.
-/// Scratch (including the packed slab) comes from `arena` — pass the
-/// calling thread's Arena::for_this_thread(). Never throws; per-slot
-/// failures are structured ok == false results.
+/// Never throws; per-slot failures are structured ok == false results.
 [[nodiscard]] std::vector<SolveResult> solve_batch_fused(
     std::span<const SolveRequest> reqs, const SolveOptions& default_opts,
-    const BatchConfig& cfg, const BatchFallback& fallback,
-    exec::Arena& arena, BatchOutcome* outcome = nullptr);
+    const BatchConfig& cfg, const GroupSolve& solve_group,
+    BatchOutcome* outcome = nullptr);
 
 }  // namespace copath::service

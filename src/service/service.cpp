@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "core/backend.hpp"
 #include "exec/arena.hpp"
 #include "service/batch.hpp"
-#include "service/express.hpp"
 #include "util/clock.hpp"
 #include "util/fault.hpp"
 #include "util/thread_pool.hpp"
@@ -200,8 +200,8 @@ namespace {
 
 /// RAII thread-budget lease around one engine solve: acquired only at the
 /// two generic solve sites (cache hits, coalesced waiters, and express
-/// inline solves never consume budget nor distort Adaptive's pressure
-/// signal), released on scope exit even if the engine throws. Exposes the
+/// solves never consume budget nor distort Adaptive's pressure signal),
+/// released on scope exit even if the engine throws. Exposes the
 /// worker-clamped options.
 class BudgetLease {
  public:
@@ -375,17 +375,20 @@ bool Service::try_submit_batch_async(std::vector<SolveRequest>& reqs,
   job.batch_sink = std::move(sink);
   job.deadline_at = batch_deadline_at(job.batch);
   arm_job_cancel(job);
+  // Counted before the push: a successful try_push moves the batch out of
+  // `job`.
+  const std::size_t k = job.batch.size();
   if (util::fault_point("service.admit")) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
+    submitted_.fetch_add(k, std::memory_order_relaxed);
     refuse_batch(job.batch, job.batch_sink, kErrOverloaded);
     return true;
   }
   if (queue_.try_push(job)) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
+    submitted_.fetch_add(k, std::memory_order_relaxed);
     return true;
   }
   if (queue_.closed()) {
-    submitted_.fetch_add(job.batch.size(), std::memory_order_relaxed);
+    submitted_.fetch_add(k, std::memory_order_relaxed);
     refuse_batch(job.batch, job.batch_sink, refusal_reason());
     return true;
   }
@@ -496,14 +499,12 @@ void Service::process(Job job, std::size_t worker) {
     return;
   }
 
-  // The express lane: below the Adaptive floor the route is the sequential
-  // sweep with or without dispatch, so run it inline — no registry walk,
-  // no BackendFn indirection, no thread lease, shared binarized tree for
-  // cover + verdicts, all scratch from this worker's arena. The instance
-  // is borrowed, never moved: it (and the canonical form the cache key
-  // views) must stay alive through the canonical-space store below.
-  const bool express =
-      opts_.use_express && service::express_eligible(n, opts);
+  // Express: below the Adaptive floor the route is the sequential sweep
+  // whatever the thread budget, so the solve claims no lease. The
+  // instance is borrowed, never moved: it (and the canonical form the
+  // cache key views) must stay alive through the canonical-space store
+  // below.
+  const bool express = express_eligible(n, opts);
   const auto solve_once = [&]() -> SolveResult {
     // From here the worker is "in a solve": its token is registered with
     // the watchdog until solve_once returns.
@@ -517,14 +518,14 @@ void Service::process(Job job, std::size_t worker) {
       return failure(label, opts.backend,
                      util::CancelToken::message(tok->reason()));
     }
+    std::optional<BudgetLease> bl;
     if (express) {
       express_.fetch_add(1, std::memory_order_relaxed);
-      return service::solve_express(job.req.instance, label, opts,
-                                    exec::Arena::for_this_thread());
+    } else {
+      bl.emplace(budgeter_, pending_, worker_count_, opts);
     }
-    BudgetLease bl(budgeter_, pending_, worker_count_, opts);
     try {
-      return solver_.solve(job.req.instance, label, bl.opts());
+      return solver_.solve(job.req.instance, label, bl ? bl->opts() : opts);
     } catch (...) {  // solve() catches std::exception; plug-ins may not
       return failure(label, opts.backend, "non-standard exception");
     }
@@ -710,24 +711,23 @@ void Service::process_batch(Job job, std::size_t worker) {
                               : service::BatchDedup::IdenticalTree;
   cfg.cache = opts_.use_cache ? &cache_ : nullptr;
   cfg.l2 = opts_.use_cache ? persist_.get() : nullptr;
-  cfg.use_express_pack = opts_.use_express;
 
-  // ONE lease spans the whole batch: the packed sweep is sequential per
-  // instance (no native threads), and above-floor fallback groups reuse
-  // this grant instead of re-acquiring per group — a batch perturbs the
-  // budgeter exactly once, like one big request (DESIGN.md §10).
+  // ONE lease spans the whole batch: every group solves on this worker,
+  // reusing this grant instead of re-acquiring per group — a batch
+  // perturbs the budgeter exactly once, like one big request (DESIGN.md
+  // §10).
   BudgetLease bl(budgeter_, pending_, worker_count_, opts_.solve);
   const std::size_t grant =
       std::max<std::size_t>(std::size_t{1}, bl.opts().workers);
-  const service::BatchFallback fallback =
+  const service::GroupSolve solve_group =
       [&](const SolveRequest& req, const SolveOptions& opts) -> SolveResult {
     SolveOptions clamped = opts;
     clamped.workers = clamped.workers == 0
                           ? grant
                           : std::min(clamped.workers, grant);
-    // The frame token governs every above-floor fallback solve; the
-    // packed small-instance sweep runs to completion (each sweep is a
-    // bounded O(n) pass — cancellation lands between groups at worst).
+    // The frame token governs every group: once it trips, each remaining
+    // group answers with the structured cancellation at its first
+    // checkpoint instead of solving.
     clamped.cancel = tok;
     try {
       return solver_.solve(req.instance, req.label, clamped);
@@ -738,8 +738,7 @@ void Service::process_batch(Job job, std::size_t worker) {
 
   service::BatchOutcome outcome;
   std::vector<SolveResult> results = service::solve_batch_fused(
-      job.batch, opts_.solve, cfg, fallback,
-      exec::Arena::for_this_thread(), &outcome);
+      job.batch, opts_.solve, cfg, solve_group, &outcome);
 
   batch_dedup_.fetch_add(outcome.dedup_hits, std::memory_order_relaxed);
   packed_.fetch_add(outcome.packed_solves, std::memory_order_relaxed);

@@ -20,13 +20,14 @@
 //    starting its own; when the twin finishes, every parked waiter is
 //    fulfilled from the one result. Concurrent identical requests compute
 //    once.
-//  * Express lane — a request below the Adaptive cost model's native floor
-//    skips backend/registry dispatch entirely and runs parse -> binarize ->
-//    sequential sweep inline on the worker thread (service/express.hpp),
-//    with all scratch drawn from the worker's thread-local exec::Arena and
-//    no native-thread lease claimed. Steady-state small requests perform
-//    zero arena-fresh allocations from request text to SolveResult; the
-//    per-worker arena counters aggregated in Stats prove it continuously.
+//  * Express solves — a request below the Adaptive cost model's native
+//    floor is certain to run the sequential sweep (copath::
+//    express_eligible), so it claims no native-thread lease. That sweep
+//    binarizes once for the cover and the verdicts, with all scratch drawn
+//    from the worker's thread-local exec::Arena: steady-state small
+//    requests perform zero arena-fresh allocations from request text to
+//    SolveResult, and the per-worker arena counters aggregated in Stats
+//    prove it continuously.
 //  * Backpressure — the submit queue is bounded; producers block in
 //    submit() when solvers fall behind, so bursts cost latency, not
 //    memory.
@@ -106,9 +107,6 @@ class Service {
     /// Master switch for the memo cache AND in-flight coalescing (off =
     /// every request computes; the differential-test baseline).
     bool use_cache = true;
-    /// Master switch for the express lane (off = every computed request
-    /// dispatches through the backend registry; differential baseline).
-    bool use_express = true;
     service::ResultCache::Config cache{};
     /// Persistent L2 tier (service/persist_cache.hpp). persist.dir empty =
     /// RAM-only (no files touched). The L2 is keyed canonically like L1,
@@ -150,8 +148,8 @@ class Service {
     /// exceeded" failure, the solve never ran. Counted per request (a
     /// whole expired batch adds its slot count).
     std::uint64_t shed_expired = 0;
-    /// Requests solved inline on the express lane (no registry dispatch,
-    /// no native-thread lease).
+    /// Single requests solved express-eligible: the sequential sweep,
+    /// no native-thread lease.
     std::uint64_t express_solves = 0;
     /// submit_batch calls accepted (each is ONE queue slot and ONE worker
     /// dispatch however many requests it carries).
@@ -160,8 +158,8 @@ class Service {
     /// (intra-batch dedup by canonical signature — cache hits are counted
     /// by cache_hits as usual, once per unique group).
     std::uint64_t batch_dedup_hits = 0;
-    /// Unique batch groups solved inside the packed slab sweep (one arena
-    /// allocation, back-to-back sequential sweeps; see service/batch.hpp).
+    /// Unique batch groups solved express-eligible (the batch
+    /// counterpart of express_solves; see service/batch.hpp).
     std::uint64_t packed_solves = 0;
     /// Native-thread leases ever claimed from the budgeter — stays flat
     /// while only express-eligible traffic arrives.
@@ -238,13 +236,14 @@ class Service {
 
   /// Enqueues a whole batch as ONE queue slot and solves it fused on one
   /// worker (service/batch.hpp): intra-batch dedup by canonical signature,
-  /// one cache probe per unique group, express-eligible survivors packed
-  /// into a single arena slab and swept back-to-back under ONE native-
-  /// thread lease. Results are positionally aligned with `reqs` and
-  /// bitwise-equal to N independent submit() calls (DESIGN.md §10). Blocks
-  /// while the queue is full; after drain()/shutdown() every slot resolves
-  /// to a structured refusal. Batches bypass in-flight coalescing — dedup
-  /// against concurrent singles happens through the cache instead.
+  /// one cache probe per unique group, and the surviving groups solved
+  /// one after another under ONE native-thread lease. A tripped frame
+  /// token stops the remaining groups. Results are positionally aligned
+  /// with `reqs` and bitwise-equal to N independent submit() calls
+  /// (DESIGN.md §10). Blocks while the queue is full; after
+  /// drain()/shutdown() every slot resolves to a structured refusal.
+  /// Batches bypass in-flight coalescing — dedup against concurrent
+  /// singles happens through the cache instead.
   [[nodiscard]] std::future<std::vector<SolveResult>> submit_batch(
       std::vector<SolveRequest> reqs);
 

@@ -65,7 +65,7 @@ class ThreadBudgeter {
   }
 
   /// Total leases ever handed out — the observability hook the Service
-  /// express-lane tests use to prove inline solves claim no lease.
+  /// tests use to prove express solves claim no lease.
   [[nodiscard]] std::uint64_t acquires() const {
     return acquires_.load(std::memory_order_relaxed);
   }

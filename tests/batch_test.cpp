@@ -105,7 +105,7 @@ TEST(ServiceBatch, DifferentialAgainstIndependentSubmitsColdAndWarm) {
   const Service::Stats s = batch_svc.stats();
   EXPECT_EQ(s.batch_submits, 2u);
   EXPECT_GT(s.batch_dedup_hits, 0u);  // duplicates + twins were grouped
-  EXPECT_GT(s.packed_solves, 0u);     // small instances took the slab sweep
+  EXPECT_GT(s.packed_solves, 0u);     // small groups were express solves
   EXPECT_EQ(s.completed, 2 * keep.size());
 }
 
@@ -240,6 +240,35 @@ TEST(ServiceBatch, DrainRefusesWholeBatchStructurally) {
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.error, "service is draining");
   }
+}
+
+TEST(ServiceBatch, TrySubmitCountsEverySlotAsSubmitted) {
+  // The non-blocking batch submit (the daemon's path) must count all k
+  // slots as submitted, so in_flight returns to zero once they complete.
+  Service::Options sopts;
+  sopts.workers = 1;
+  Service svc(sopts);
+  constexpr std::size_t k = 5;
+  std::vector<SolveRequest> reqs;
+  for (std::size_t i = 0; i < k; ++i) {
+    reqs.push_back(SolveRequest{
+        Instance::text(testing::random_cotree(10 + i, 880 + i).format()),
+        {},
+        std::to_string(i)});
+  }
+  auto done = std::make_shared<std::promise<std::vector<SolveResult>>>();
+  auto fut = done->get_future();
+  Service::BatchSink sink = [done](std::vector<SolveResult> res) {
+    done->set_value(std::move(res));
+  };
+  ASSERT_TRUE(svc.try_submit_batch_async(reqs, sink));
+  const std::vector<SolveResult> res = fut.get();
+  ASSERT_EQ(res.size(), k);
+  for (const SolveResult& r : res) EXPECT_TRUE(r.ok) << r.error;
+  const Service::Stats s = svc.stats();
+  EXPECT_EQ(s.submitted, k);
+  EXPECT_EQ(s.completed, k);
+  EXPECT_EQ(s.in_flight, 0u);
 }
 
 // ---------------------------------------------------------- Solver lane

@@ -195,29 +195,32 @@ TEST(CancelSolve, ArmedButUntrippedTokenChangesNothing) {
 
 TEST(CancelSolve, BatchMembersAfterATripAreCancelledToo) {
   // solve_batch shares one coordinator: once the token trips, remaining
-  // members answer structurally instead of burning CPU.
-  util::CancelToken tok;
+  // members answer structurally instead of burning CPU — on every backend,
+  // including the small instances solve_batch keeps on the calling thread.
   std::vector<Cotree> trees;
-  std::vector<SolveRequest> reqs;
   for (unsigned i = 0; i < 4; ++i) {
     trees.push_back(testing::random_cotree(200, 7300 + i));
   }
-  SolveOptions opts;
-  opts.backend = Backend::Native;
-  opts.cancel = &tok;
-  for (const auto& t : trees) {
-    SolveRequest r;
-    r.instance = Instance::view(t);
-    r.options = opts;
-    reqs.push_back(std::move(r));
-  }
-  tok.cancel(util::CancelToken::Reason::kCancelled);
-  Solver solver(opts);
-  const auto results = solver.solve_batch(reqs);
-  ASSERT_EQ(results.size(), reqs.size());
-  for (const auto& res : results) {
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.error, util::kCancelledMsg);
+  for (Backend b : cancel_backends()) {
+    util::CancelToken tok;
+    SolveOptions opts;
+    opts.backend = b;
+    opts.cancel = &tok;
+    std::vector<SolveRequest> reqs;
+    for (const auto& t : trees) {
+      SolveRequest r;
+      r.instance = Instance::view(t);
+      r.options = opts;
+      reqs.push_back(std::move(r));
+    }
+    tok.cancel(util::CancelToken::Reason::kCancelled);
+    Solver solver(opts);
+    const auto results = solver.solve_batch(reqs);
+    ASSERT_EQ(results.size(), reqs.size()) << core::to_string(b);
+    for (const auto& res : results) {
+      EXPECT_FALSE(res.ok) << core::to_string(b);
+      EXPECT_EQ(res.error, util::kCancelledMsg) << core::to_string(b);
+    }
   }
 }
 
@@ -231,10 +234,12 @@ TEST(WatchdogService, DeadlineTripsMidSolveNotJustAtAdmission) {
   Service::Options sopts;
   sopts.workers = 1;
   sopts.use_cache = false;
-  sopts.use_express = false;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);
-  const Cotree t = testing::random_cotree(600, 31007);
+  // Big enough that no host finishes the solve inside the 1 ms budget
+  // (a Native solve at n = 600 can take under half a millisecond, and
+  // then it rightly answers Ok).
+  const Cotree t = testing::random_cotree(std::size_t{1} << 16, 31007);
   SolveRequest req;
   req.instance = Instance::view(t);
   req.deadline_ms = 1;  // expires while queued or mid-solve
@@ -256,7 +261,6 @@ TEST(WatchdogService, SilentWorkerIsTrippedWithinTheInterval) {
   Service::Options sopts;
   sopts.workers = 1;
   sopts.use_cache = false;
-  sopts.use_express = false;
   sopts.watchdog_ms = 50;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);
@@ -294,7 +298,6 @@ TEST(WatchdogService, BeatingSolvesAreNeverTripped) {
   Service::Options sopts;
   sopts.workers = 2;
   sopts.use_cache = false;
-  sopts.use_express = false;  // keep solves on the checkpointed pipeline
   sopts.watchdog_ms = 40;
   sopts.solve.backend = Backend::Native;
   Service svc(sopts);

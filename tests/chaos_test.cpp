@@ -855,6 +855,21 @@ bool wait_for_counter(net::Client& observer, std::string_view key,
   return false;
 }
 
+/// Waits until an armed solve.stall has actually fired, i.e. a worker has
+/// picked the request up and sits inside its solve. The in_flight counter
+/// alone cannot say this: it also counts a request still queued, and a
+/// queued request that is cancelled is shed at pickup without ever
+/// reaching the stall, which leaves the fault armed for the next solve.
+bool wait_for_stall() {
+  for (int spin = 0; spin < 1500; ++spin) {
+    if (util::FaultInjector::instance().stats("solve.stall").injected >= 1) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
 TEST(ChaosWatchdog, StalledSolveIsFreedWithinOneIntervalNotTheStallCap) {
   // The headline watchdog drill over the wire: a solve that stops
   // heartbeating (injected solve.stall) past --watchdog-ms gets its token
@@ -930,6 +945,7 @@ TEST(ChaosCancel, WireCancelCatchesAnInFlightSolve) {
         cli.send_solve_text(testing::random_cotree(40, 4300).format());
     cli.flush();
     ASSERT_TRUE(wait_for_counter(observer, "in_flight", 1));
+    ASSERT_TRUE(wait_for_stall());
     const std::uint64_t cseq = cli.send_cancel(seq);
     cli.flush();
 
@@ -1027,6 +1043,7 @@ TEST(ResilienceDisconnect, ClientGoneMidSolveFreesTheWorker) {
           testing::random_cotree(40, 4500).format());
       victim.flush();
       ASSERT_TRUE(wait_for_counter(observer, "in_flight", 1));
+      ASSERT_TRUE(wait_for_stall());
     }  // victim's socket closes here, solve still stalled in the worker
 
     // The disconnect cancels the orphan (cancelled counter moves) and the

@@ -2,13 +2,17 @@
 // against the retired recursive-descent oracle (old-vs-new differential +
 // deep-spine inputs past the old recursion depth), the binary canonical
 // signature (injectivity via an actual decoder, twin/distinct properties),
-// the express lane (bitwise-equal to the generic dispatch path, claims no
-// native-thread lease), and the whole-request allocation regression: warm
+// the solve-route differential (Solver::solve, Solver::solve_batch,
+// Service::submit and Service::submit_batch agree bitwise, with verdicts
+// equal to the standalone Lemma 2.4 functions), express solves claiming no
+// native-thread lease and matching the same traffic with express disabled,
+// and the whole-request allocation regression: warm
 // Service requests perform zero arena-fresh allocations, proven by the
 // instrumented arena counters the Service aggregates per worker. The CI
 // ASan job runs this suite with leak detection on.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <string>
 #include <vector>
 
@@ -251,7 +255,7 @@ TEST(BinarySignature, ComplementFlipsTheSignature) {
             canonical_form(t.complement()).signature);
 }
 
-// --------------------------------------------------------- the express lane
+// ------------------------------------------------------- the solve routes
 
 void expect_equal_results(const SolveResult& got, const SolveResult& want,
                           const std::string& what) {
@@ -269,80 +273,138 @@ void expect_equal_results(const SolveResult& got, const SolveResult& want,
   EXPECT_EQ(got.trace_valid, want.trace_valid) << what;
 }
 
+/// Solves every family under `opts` through the four public routes and
+/// demands bitwise agreement. The Service runs cacheless so each request
+/// really reaches an engine (cache replays have their own differential in
+/// service_test / batch_test). Verdicts, when on, must equal the
+/// standalone Lemma 2.4 functions.
+void expect_routes_agree(const SolveOptions& opts, const std::string& what) {
+  const std::vector<Cotree> trees = testing::large_families();
+  std::vector<SolveRequest> reqs;
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    reqs.push_back(
+        SolveRequest{Instance::view(trees[i]), opts, std::to_string(i)});
+  }
+  Solver solver(opts);
+  const std::vector<SolveResult> batched = solver.solve_batch(reqs);
+
+  Service::Options sopts;
+  sopts.workers = 2;
+  sopts.use_cache = false;
+  Service svc(sopts);
+  std::vector<std::future<SolveResult>> singles;
+  for (const SolveRequest& r : reqs) singles.push_back(svc.submit(r));
+  const std::vector<SolveResult> served = svc.submit_batch(reqs).get();
+
+  ASSERT_EQ(batched.size(), trees.size());
+  ASSERT_EQ(served.size(), trees.size());
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    const std::string at = what + " family " + std::to_string(i);
+    const SolveResult direct = solver.solve(reqs[i]);
+    ASSERT_TRUE(direct.ok) << at << ": " << direct.error;
+    EXPECT_TRUE(direct.validation.ok) << at << ": "
+                                      << direct.validation.error;
+    EXPECT_EQ(direct.label, std::to_string(i)) << at;
+    expect_equal_results(batched[i], direct, at + " solve_batch");
+    expect_equal_results(singles[i].get(), direct, at + " submit");
+    expect_equal_results(served[i], direct, at + " submit_batch");
+    if (opts.compute_verdicts) {
+      EXPECT_EQ(direct.optimal_size, core::path_cover_size(trees[i])) << at;
+      EXPECT_EQ(direct.hamiltonian_path,
+                core::path_cover_size(trees[i]) == 1)
+          << at;
+      EXPECT_EQ(direct.hamiltonian_cycle,
+                core::has_hamiltonian_cycle(trees[i]))
+          << at;
+    } else {
+      EXPECT_EQ(direct.optimal_size, -1) << at;
+    }
+    if (opts.want_hamiltonian_cycle) {
+      EXPECT_EQ(direct.cycle.has_value(),
+                core::has_hamiltonian_cycle(trees[i]))
+          << at;
+    }
+  }
+}
+
 TEST(ExpressLane, BitwiseEqualToTheGenericDispatchPath) {
-  // The express solve IS the sequential sweep: identical covers, verdicts,
-  // cycles, and routing metadata to Solver's registry path, across the
-  // family sweeps and options combinations.
-  const Solver solver;
-  exec::Arena arena;
-  for (const auto& t : testing::large_families()) {
-    for (const Backend b : {Backend::Sequential, Backend::Adaptive}) {
-      for (const bool cycle : {false, true}) {
+  // Express-eligible options (Sequential always, Adaptive below its floor)
+  // run the one sequential route — binarize once, sweep, verdicts from the
+  // same tree — so the lease-free Service solves and the Solver's registry
+  // dispatch agree bitwise on every route.
+  for (const Backend b : {Backend::Sequential, Backend::Adaptive}) {
+    for (const bool cycle : {false, true}) {
+      for (const bool verdicts : {true, false}) {
         SolveOptions opts;
         opts.backend = b;
         opts.want_hamiltonian_cycle = cycle;
+        opts.compute_verdicts = verdicts;
         opts.validate = true;
-        ASSERT_TRUE(
-            service::express_eligible(t.vertex_count(), opts));
-        const Instance inst = Instance::view(t);
-        const SolveResult express =
-            service::solve_express(inst, "x", opts, arena);
-        const SolveResult generic =
-            solver.solve(SolveRequest{Instance::view(t), opts, "x"});
-        expect_equal_results(express, generic, core::to_string(b));
-        EXPECT_TRUE(express.validation.ok) << express.validation.error;
-        EXPECT_EQ(express.label, "x");
+        for (const auto& t : testing::large_families()) {
+          ASSERT_TRUE(express_eligible(t.vertex_count(), opts));
+        }
+        expect_routes_agree(opts, std::string(core::to_string(b)) +
+                                      (cycle ? " cycle" : "") +
+                                      (verdicts ? " verdicts" : ""));
       }
     }
   }
-  // compute_verdicts off: the -1 sentinel and the cycle-attempt verdict.
-  for (unsigned trial = 0; trial < 25; ++trial) {
-    const Cotree t = testing::random_cotree(1 + trial * 13, 66100 + trial);
-    SolveOptions opts;
-    opts.backend = Backend::Adaptive;
-    opts.compute_verdicts = false;
-    opts.want_hamiltonian_cycle = trial % 2 == 0;
-    const Instance inst = Instance::view(t);
-    const SolveResult express =
-        service::solve_express(inst, {}, opts, arena);
-    const SolveResult generic =
-        solver.solve(SolveRequest{Instance::view(t), opts, {}});
-    expect_equal_results(express, generic, "verdictless " +
-                                               std::to_string(trial));
-    EXPECT_EQ(express.optimal_size, -1);
+}
+
+TEST(SolveRoutes, OtherEnginesTakeVerdictsFromTheSolverTail) {
+  // Native and Pram hand back no tree of their own: the Solver binarizes
+  // once more for the verdicts, on every route alike.
+  for (const Backend b : {Backend::Native, Backend::Pram}) {
+    for (const bool verdicts : {true, false}) {
+      SolveOptions opts;
+      opts.backend = b;
+      opts.want_hamiltonian_cycle = true;
+      opts.compute_verdicts = verdicts;
+      opts.validate = true;
+      expect_routes_agree(opts, std::string(core::to_string(b)) +
+                                    (verdicts ? " verdicts" : ""));
+    }
   }
 }
 
 TEST(ExpressLane, EligibilityFollowsTheCostModelFloor) {
   SolveOptions seq;
   seq.backend = Backend::Sequential;
-  EXPECT_TRUE(service::express_eligible(1, seq));
-  EXPECT_TRUE(service::express_eligible(std::size_t{1} << 22, seq));
+  EXPECT_TRUE(express_eligible(1, seq));
+  EXPECT_TRUE(express_eligible(std::size_t{1} << 22, seq));
 
   SolveOptions ada;
   ada.backend = Backend::Adaptive;
   const auto floor_n = core::CostModel::calibrated().min_native_n;
-  EXPECT_TRUE(service::express_eligible(floor_n - 1, ada));
-  EXPECT_FALSE(service::express_eligible(floor_n, ada));
+  EXPECT_TRUE(express_eligible(floor_n - 1, ada));
+  EXPECT_FALSE(express_eligible(floor_n, ada));
 
   static core::CostModel forced;  // must outlive the options
   forced.min_native_n = 0;
   ada.cost_model = &forced;
-  EXPECT_FALSE(service::express_eligible(4, ada));
+  EXPECT_FALSE(express_eligible(4, ada));
 
   SolveOptions native;
   native.backend = Backend::Native;
-  EXPECT_FALSE(service::express_eligible(4, native));
+  EXPECT_FALSE(express_eligible(4, native));
 }
 
 TEST(ExpressLane, StructuredFailuresOnBadInstances) {
-  exec::Arena arena;
+  // Express-eligible options do not change the failure shape: a bad
+  // instance is a structured ok == false result on every route.
   SolveOptions opts;
+  ASSERT_TRUE(express_eligible(1, opts));
   const SolveResult res =
-      service::solve_express(Instance::text("(* oops"), "bad", opts, arena);
+      Solver(opts).solve(Instance::text("(* oops"), "bad", opts);
   EXPECT_FALSE(res.ok);
   EXPECT_FALSE(res.error.empty());
   EXPECT_EQ(res.label, "bad");
+  Service svc;
+  const SolveResult served =
+      svc.submit(SolveRequest{Instance::text("(* oops"), opts, "bad"}).get();
+  EXPECT_FALSE(served.ok);
+  EXPECT_EQ(served.error, res.error);
+  EXPECT_EQ(served.label, "bad");
 }
 
 TEST(ExpressLane, ServiceSmallRequestsClaimNoNativeThreadLease) {
@@ -358,8 +420,8 @@ TEST(ExpressLane, ServiceSmallRequestsClaimNoNativeThreadLease) {
   }
   for (auto& f : futs) ASSERT_TRUE(f.get().ok);
   const auto stats = svc.stats();
-  // Every computed request (i.e. every cache miss) went express; nobody
-  // claimed a thread lease.
+  // Every computed request (i.e. every cache miss) was an express solve;
+  // nobody claimed a thread lease.
   EXPECT_EQ(stats.lease_acquires, 0u);
   EXPECT_EQ(stats.express_solves, stats.cache_misses);
   EXPECT_GT(stats.express_solves, 0u);
@@ -378,8 +440,14 @@ TEST(ExpressLane, ServiceSmallRequestsClaimNoNativeThreadLease) {
 }
 
 TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
-  // The lane is an optimization, not a semantic: the same traffic with
-  // use_express off must produce bitwise-identical results.
+  // Express is an optimization, not a semantic: the same traffic with
+  // express solves disabled must produce bitwise-identical results. A
+  // model with no floor makes Adaptive ineligible (every solve claims a
+  // lease), and a prohibitive native fixed cost keeps its route
+  // Sequential, so only the express decision differs between the runs.
+  static core::CostModel no_express;
+  no_express.min_native_n = 0;
+  no_express.native_fixed_ns = 1e18;
   std::vector<std::string> texts;
   for (unsigned i = 0; i < 40; ++i) {
     texts.push_back(testing::random_cotree(1 + (i * 19) % 120, 300 + i)
@@ -389,7 +457,7 @@ TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
   for (const bool express : {true, false}) {
     Service::Options sopts;
     sopts.workers = 2;
-    sopts.use_express = express;
+    if (!express) sopts.solve.cost_model = &no_express;
     Service svc(sopts);
     std::vector<std::future<SolveResult>> futs;
     futs.reserve(texts.size());
@@ -400,10 +468,12 @@ TEST(ExpressLane, ServiceDifferentialWithExpressDisabled) {
     for (auto& f : futs) out.push_back(f.get());
     const auto stats = svc.stats();
     EXPECT_EQ(stats.express_solves > 0, express);
+    EXPECT_EQ(stats.lease_acquires > 0, !express);
   }
   ASSERT_EQ(with.size(), without.size());
   for (std::size_t i = 0; i < with.size(); ++i) {
     expect_equal_results(with[i], without[i], "req " + std::to_string(i));
+    EXPECT_EQ(without[i].routed, Backend::Sequential);
   }
 }
 

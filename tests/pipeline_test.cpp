@@ -139,15 +139,18 @@ TEST(Pipeline, TraceReportsPlausibleNumbers) {
   EXPECT_EQ(res.trace.path_count, res.cover.size());
 }
 
-TEST(Pipeline, ConvenienceWrapperReportsStats) {
+TEST(Pipeline, ParallelBackendReportsStats) {
   RandomCotreeOptions opt;
   opt.seed = 99;
   const Cotree t = cograph::random_cotree(120, opt);
-  pram::Stats stats;
-  const PathCover c = min_path_cover_parallel(t, 1, &stats);
-  EXPECT_TRUE(validate_path_cover(t, c, true).ok);
-  EXPECT_GT(stats.steps, 0u);
-  EXPECT_GT(stats.work, stats.steps);
+  SolveOptions opts;
+  opts.backend = Backend::Parallel;
+  const SolveResult res = Solver(opts).solve(Instance::view(t));
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_TRUE(validate_path_cover(t, res.cover, true).ok);
+  EXPECT_TRUE(res.stats_valid);
+  EXPECT_GT(res.stats.steps, 0u);
+  EXPECT_GT(res.stats.work, res.stats.steps);
 }
 
 TEST(PipelineCost, Theorem53Bound) {
